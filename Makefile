@@ -8,12 +8,13 @@
 # a race-enabled serving smoke (prefetchd SIGTERM drain, snapshot
 # warm-start, chaos transport) + a race-enabled learner-introspection
 # smoke (instrumented sweep rendered via inspect learner, live explain
-# round-trip against prefetchd).
+# round-trip against prefetchd) + the repository benchmark's own tests
+# (perfbench: every workload in short mode, with its bit-identity gates).
 
 GO ?= go
 BENCH_N ?= 4
 
-.PHONY: all vet build test race fuzz bench bench-smoke bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke check clean
+.PHONY: all vet build test race fuzz bench bench-smoke bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test check clean
 
 all: build
 
@@ -129,7 +130,16 @@ learner-smoke:
 	$(GO) test -race -count=1 -run '^TestRunJobsLearnerObsMatchesDisabled$$' ./internal/exp
 	$(GO) test -count=1 -run '^TestLearnerHealthSnapshotZeroAlloc$$' ./internal/core
 
-check: vet build race fuzz bench-smoke overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke
+# perfbench-test runs the repository benchmark's tests: every workload in
+# short mode, traced and untraced. Its gates are the strongest bit-identity
+# check on the engine and the cache hierarchy: every matrix pass must equal
+# the first, the traced run must equal the untraced one, and the cache and
+# CPU replay rungs must reproduce each cell's LevelStats and IPC exactly.
+# perfbench is its own module (replacing semloc with ..), hence the cd.
+perfbench-test:
+	cd perfbench && $(GO) test -count=1 ./...
+
+check: vet build race fuzz bench-smoke overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test
 
 clean:
 	rm -f .bench-smoke.json .overhead-guard.txt

@@ -125,7 +125,12 @@ func (l *level) touch(wi int) {
 // victim picks the replacement way's flat index in line's set: an invalid
 // way if one exists, otherwise the LRU way. Lines still in flight (fill
 // beyond now) are protected from replacement when possible, matching
-// MSHR-held fills.
+// MSHR-held fills. Among equal stamps (LRU-inserted prefetches all carry
+// stamp 0) the lowest way wins.
+//
+// One pass over the set keeps two running minima in locals: the oldest
+// landed way and, as the fallback when every way is in flight, the oldest
+// way of all.
 func (l *level) victim(line memmodel.Line, now Cycle) int {
 	set := int(uint64(line) & l.setMask)
 	base := set * l.cfg.Ways
@@ -137,19 +142,23 @@ func (l *level) victim(line memmodel.Line, now Cycle) int {
 			}
 		}
 	}
-	lru, lruAny := -1, -1
-	for i := base; i < end; i++ {
-		if lruAny < 0 || l.lru[i] < l.lru[lruAny] {
-			lruAny = i
+	lru := l.lru[base:end]
+	fill := l.fill[base:end]
+	fill = fill[:len(lru)]
+	anyWay, anyStamp := 0, lru[0]
+	way, stamp := -1, uint64(0)
+	for i, s := range lru {
+		if s < anyStamp {
+			anyWay, anyStamp = i, s
 		}
-		if l.fill[i] <= now && (lru < 0 || l.lru[i] < l.lru[lru]) {
-			lru = i
+		if fill[i] <= now && (way < 0 || s < stamp) {
+			way, stamp = i, s
 		}
 	}
-	if lru < 0 {
-		lru = lruAny
+	if way < 0 {
+		way = anyWay
 	}
-	return lru
+	return base + way
 }
 
 // install places line into the cache, filling at fillTime, evicting as

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,10 +131,19 @@ func isContextName(name string) bool {
 
 // RunJobs executes a job matrix on the runner's worker pool and returns one
 // JobResult per job, in submission order. Parallelism is bounded by
-// Options.Parallelism; with Parallelism 1 the jobs run strictly in order,
-// and the determinism contract (order-indexed results + coordinate-derived
-// seeds + memoized named runs) guarantees the outputs are bit-identical to
-// any parallel schedule of the same slice.
+// Options.Parallelism.
+//
+// Dispatch is longest trace first: RunJobs resolves each distinct
+// workload's trace through the shared TraceCache (up to Parallelism at a
+// time), then hands jobs to workers in descending record count, ties in
+// submission order, so the batch's longest cell never starts last behind
+// a queue of short ones. A named (workload, prefetcher) job submitted more
+// than once runs once; every duplicate gets a copy of its result and
+// error. Because results land at their submission index and seeds derive
+// from job coordinates, the order changes only wall time: the outputs are
+// bit-identical to any other schedule of the same slice, at any
+// parallelism. A workload whose trace fails to resolve sorts last, and its
+// jobs report the memoized error as they run.
 //
 // Individual job failures land in their JobResult.Err and do not stop the
 // batch (cancellation does, via the per-run harness). The returned error
@@ -143,31 +153,79 @@ func isContextName(name string) bool {
 func (r *Runner) RunJobs(jobs []Job) ([]JobResult, error) {
 	out := make([]JobResult, len(jobs))
 	r.met.batchSubmitted(len(jobs))
-	workers := cap(r.sem)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				out[i] = r.runJob(i, jobs[i])
-				r.met.jobFinished(&out[i])
-			}
-		}()
-	}
-	wg.Wait()
+	order, twins := r.schedule(jobs)
+	parallelFor(len(order), cap(r.sem), func(k int) {
+		i := order[k]
+		out[i] = r.runJob(i, jobs[i])
+		r.met.jobFinished(&out[i])
+		for _, d := range twins[i] {
+			out[d] = JobResult{Job: jobs[d], Index: d, Result: out[i].Result, Err: out[i].Err}
+			r.met.jobFinished(&out[d])
+		}
+	})
 	if err := r.traces.VerifyImmutable(); err != nil {
 		return out, err
 	}
 	return out, nil
+}
+
+// namedJob keys a named run for deduplication, as the Result memo does.
+type namedJob struct{ workload, prefetcher string }
+
+// schedule returns the indexes of the jobs to run, longest trace first
+// with ties in submission order, and maps each named job that was
+// submitted more than once to the indexes of its later duplicates.
+func (r *Runner) schedule(jobs []Job) (order []int, twins map[int][]int) {
+	first := make(map[namedJob]int)
+	twins = make(map[int][]int)
+	slot := make(map[string]int) // workload -> index into workloads
+	var workloads []string
+	for i, j := range jobs {
+		if _, ok := slot[j.Workload]; !ok {
+			slot[j.Workload] = len(workloads)
+			workloads = append(workloads, j.Workload)
+		}
+		if j.Config == nil {
+			key := namedJob{j.Workload, j.Prefetcher}
+			if p, ok := first[key]; ok {
+				twins[p] = append(twins[p], i)
+				continue
+			}
+			first[key] = i
+		}
+		order = append(order, i)
+	}
+	// An unresolved trace counts -1 records and sorts last; its error is
+	// memoized (or, if cancelled, recurs) when the job asks for the trace.
+	records := make([]int, len(workloads))
+	parallelFor(len(workloads), cap(r.sem), func(k int) {
+		records[k] = -1
+		if tr, err := r.Trace(workloads[k]); err == nil {
+			records[k] = len(tr.Records)
+		}
+	})
+	sort.SliceStable(order, func(a, b int) bool {
+		return records[slot[jobs[order[a]].Workload]] > records[slot[jobs[order[b]].Workload]]
+	})
+	return order, twins
+}
+
+// parallelFor calls f(k) for every k in [0, n) from up to workers
+// goroutines, handing out k in increasing order, and returns once every
+// call has.
+func parallelFor(n, workers int, f func(k int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+				f(k)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // runJob dispatches one job to the memoized or the parameterised path.

@@ -3,9 +3,11 @@ package exp
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"testing"
 
 	"semloc/internal/core"
+	"semloc/internal/obs"
 )
 
 // engineRunner builds a tiny-scale runner at a fixed parallelism.
@@ -18,7 +20,9 @@ func engineRunner(par int) *Runner {
 
 // engineJobs is a mixed matrix: shared named runs (memoized path) plus a
 // small parameterised sweep (fresh-run path), with a deliberate duplicate
-// named job and a failing job in the middle.
+// named job and a failing job in the middle. The last job replays mcf,
+// whose trace is longer than array's and list's (which tie), so
+// longest-trace-first dispatch moves it to the front.
 func engineJobs() []Job {
 	cfgA := core.DefaultConfig()
 	cfgA.CSTEntries, cfgA.ReducerEntries = 512, 4096
@@ -33,6 +37,7 @@ func engineJobs() []Job {
 		{Workload: "array", Prefetcher: "context", Point: 0, Config: &cfgA},
 		{Workload: "array", Prefetcher: "context", Point: 1, Config: &cfgB},
 		{Workload: "list", Prefetcher: "context", Point: 0, Config: &cfgA},
+		{Workload: "mcf", Prefetcher: "context"},
 	}
 }
 
@@ -95,6 +100,62 @@ func TestRunJobsContract(t *testing.T) {
 	}
 	if results[2].Prefetcher != nil {
 		t.Error("named job leaked its (shared) prefetcher instance")
+	}
+}
+
+// TestRunJobsDispatchOrder checks longest-trace-first dispatch: at
+// parallelism 1 the cell spans start in descending record count, ties in
+// submission order, and the duplicate named job never runs a cell of its
+// own.
+func TestRunJobsDispatchOrder(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Scale = 0.02
+	opts.Parallelism = 1
+	opts.Spans = obs.NewSpanRecorder()
+	r := NewRunner(opts)
+	jobs := engineJobs()
+	if _, err := r.RunJobs(jobs); err != nil {
+		t.Fatal(err)
+	}
+
+	records := func(w string) int {
+		tr, err := r.Trace(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(tr.Records)
+	}
+	var want []Job
+	seen := map[namedJob]bool{}
+	for _, j := range jobs {
+		if j.Config == nil {
+			if seen[namedJob{j.Workload, j.Prefetcher}] {
+				continue
+			}
+			seen[namedJob{j.Workload, j.Prefetcher}] = true
+		}
+		want = append(want, j)
+	}
+	submitted := append([]Job(nil), want...)
+	sort.SliceStable(want, func(a, b int) bool { return records(want[a].Workload) > records(want[b].Workload) })
+	if reflect.DeepEqual(want, submitted) {
+		t.Fatal("engineJobs no longer has unequal trace lengths out of order; the test proves nothing")
+	}
+
+	var got []Job
+	for _, s := range opts.Spans.Spans() {
+		if s.Cat == obs.CatRun {
+			got = append(got, Job{Workload: s.Workload, Prefetcher: s.Prefetcher, Point: s.Point})
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d cell spans, want %d (one per distinct job)", len(got), len(want))
+	}
+	for k := range want {
+		if w := want[k]; got[k] != (Job{Workload: w.Workload, Prefetcher: w.Prefetcher, Point: w.Point}) {
+			t.Errorf("cell %d started %s/%s[%d], want %s/%s[%d]",
+				k, got[k].Workload, got[k].Prefetcher, got[k].Point, w.Workload, w.Prefetcher, w.Point)
+		}
 	}
 }
 

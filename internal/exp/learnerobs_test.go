@@ -71,6 +71,32 @@ func TestRunJobsLearnerObsMatchesDisabled(t *testing.T) {
 	}
 }
 
+// TestBaselineRunLeavesLearnerGauges: the learner gauges are
+// last-writer-wins across cells, so a baseline cell, which has no learner,
+// must not publish into them. Otherwise whichever cell finished last would
+// decide whether /metrics shows the learner's state or zeros.
+func TestBaselineRunLeavesLearnerGauges(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := learnerRunner(1, reg)
+	if _, err := r.Result("list", "context"); err != nil {
+		t.Fatal(err)
+	}
+	entries := reg.Gauge(obs.GaugeLearnerCSTEntries, "").Value()
+	samples := reg.Histogram(obs.HistLearnerQueueHitRate, "", nil).Count()
+	if entries <= 0 || samples == 0 {
+		t.Fatalf("context run published cst_entries %v and %d hit-rate samples", entries, samples)
+	}
+	if _, err := r.Result("array", "none"); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Gauge(obs.GaugeLearnerCSTEntries, "").Value(); got != entries {
+		t.Errorf("baseline run moved learner_cst_entries from %v to %v", entries, got)
+	}
+	if got := reg.Histogram(obs.HistLearnerQueueHitRate, "", nil).Count(); got != samples {
+		t.Errorf("baseline run added %d learner hit-rate samples", got-samples)
+	}
+}
+
 // TestRunnerNoLearnerMetricsWithoutTelemetry: a registry-carrying but
 // telemetry-free sweep must keep its /metrics surface unchanged — the
 // learner instruments only register when interval sampling will feed them.

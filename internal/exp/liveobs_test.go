@@ -18,13 +18,13 @@ func obsRunner(par int, reg *obs.Registry, rec *obs.SpanRecorder) *Runner {
 	return NewRunner(opts)
 }
 
-// engineJobs holds 8 jobs of which one is a memoized duplicate, so 7 cells
-// actually execute; job 4 fails at prefetcher construction.
+// engineJobs holds 9 jobs of which one is a duplicate named job, so 8
+// cells actually execute; job 4 fails at prefetcher construction.
 const (
-	engineJobCount     = 8
-	engineExecuted     = 7
+	engineJobCount     = 9
+	engineExecuted     = 8
 	engineFailed       = 1
-	engineTraceDecodes = 2 // unique workloads: array, list
+	engineTraceDecodes = 3 // unique workloads: array, list, mcf
 )
 
 func TestRunJobsMetrics(t *testing.T) {

@@ -140,12 +140,18 @@ func RunContext(ctx context.Context, tr *trace.Trace, pf prefetch.Prefetcher, cf
 		predLog:   sc.plog,
 	}
 	cpuCfg := cfg.CPU
-	col := obs.NewCollector(cfg.Obs) // nil when telemetry is disabled
+	obsCfg := cfg.Obs
+	src, isCore := pf.(obs.CoreSource)
+	if !isCore {
+		// Only a learner has health to publish. A baseline run sampled
+		// alongside learner runs would otherwise overwrite the live
+		// last-writer-wins learner gauges with zeros.
+		obsCfg.Learner = nil
+	}
+	col := obs.NewCollector(obsCfg) // nil when telemetry is disabled
 	if col != nil {
 		ad.col = col
-		if src, ok := pf.(obs.CoreSource); ok {
-			ad.coreSrc = src
-		}
+		ad.coreSrc = src // nil unless pf is a learner
 		if att, ok := pf.(obs.Attachable); ok {
 			att.AttachTelemetry(col)
 		}

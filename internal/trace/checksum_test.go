@@ -34,6 +34,14 @@ func TestChecksumDetectsMutation(t *testing.T) {
 		func(t *Trace) { t.Records[2].Hints.LinkOffset = 24 },
 		func(t *Trace) { t.Records[2].Hints.Valid = false },
 		func(t *Trace) { t.Records[0].Count++ },
+		func(t *Trace) { t.Records[2].PC ^= 1 << 63 },
+		func(t *Trace) { t.Records[2].Reg++ },
+		func(t *Trace) { t.Records[2].Dep = 0 },
+		func(t *Trace) { t.Records[2].Kind = KindStore },
+		func(t *Trace) { t.Records[2].Size = 4 },
+		func(t *Trace) { t.Records[2].Hints.TypeID = 8 },
+		func(t *Trace) { t.Records[2].Hints.RefForm = RefDot },
+		func(t *Trace) { t.Records = t.Records[:len(t.Records)-1] },
 	}
 	for i, mut := range mutations {
 		m := checksumTrace()
