@@ -63,7 +63,8 @@ bench-diff:
 # 0 allocs/op and within noise of the BENCH_2-era baseline (~320 ns/op
 # on the reference machine). The ns/op ceiling is deliberately loose to
 # absorb machine variance while still catching a hook that adds real
-# per-access work.
+# per-access work. The GHB and SMS baselines ride along with an
+# allocs-only check (0 allocs/op once warm; no ns/op ceiling).
 OVERHEAD_NS_CEILING ?= 900
 overhead-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkOnAccess$$' -benchmem ./internal/core | tee .overhead-guard.txt
@@ -72,6 +73,11 @@ overhead-guard:
 		   if ($$7+0 != 0) { print "overhead-guard: "$$7" allocs/op on the disabled-telemetry hot path (want 0)"; exit 1 }; \
 		   if ($$3+0 > ceil) { print "overhead-guard: "$$3" ns/op exceeds ceiling "ceil; exit 1 } } \
 		 END { if (!found) { print "overhead-guard: BenchmarkOnAccess missing from output"; exit 1 } }' \
+		.overhead-guard.txt
+	$(GO) test -run '^$$' -bench '^Benchmark(GHB|SMS)OnAccess$$' -benchmem ./internal/prefetch | tee .overhead-guard.txt
+	awk '/^Benchmark(GHB|SMS)OnAccess(-[0-9]+)?[ \t]/ { found++; \
+		   if ($$7+0 != 0) { print "overhead-guard: "$$1" "$$7" allocs/op (want 0)"; bad=1; exit 1 } } \
+		 END { if (!bad && found != 2) { print "overhead-guard: BenchmarkGHBOnAccess/BenchmarkSMSOnAccess missing from output"; exit 1 } }' \
 		.overhead-guard.txt
 	rm -f .overhead-guard.txt
 

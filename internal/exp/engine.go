@@ -163,7 +163,7 @@ func (r *Runner) RunJobs(jobs []Job) ([]JobResult, error) {
 			r.met.jobFinished(&out[d])
 		}
 	})
-	if err := r.traces.VerifyImmutable(); err != nil {
+	if err := r.traces.VerifyImmutable(cap(r.sem)); err != nil {
 		return out, err
 	}
 	return out, nil

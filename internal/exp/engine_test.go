@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"semloc/internal/core"
 	"semloc/internal/obs"
+	"semloc/internal/trace"
 )
 
 // engineRunner builds a tiny-scale runner at a fixed parallelism.
@@ -63,6 +65,34 @@ func TestRunJobsParallelMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(seq[i].Result, par[i].Result) {
 			t.Errorf("job %d (%s/%s[%d]): sequential and parallel results differ",
 				i, seq[i].Job.Workload, seq[i].Job.Prefetcher, seq[i].Job.Point)
+		}
+	}
+}
+
+// TestSharedTraceCacheMatchesFresh runs the matrix on successive runners
+// sharing one TraceCache, as a repeated benchmark pass does: later runners
+// reuse the cache's pooled scratch and memoized branch histories, and must
+// still reproduce a runner with a cache of its own, job for job.
+func TestSharedTraceCacheMatchesFresh(t *testing.T) {
+	jobs := append(engineJobs(), Job{Workload: "array", Prefetcher: "ghb-gdc"}, Job{Workload: "list", Prefetcher: "sms"})
+	want, err := engineRunner(1).RunJobs(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Scale = 0.02
+	opts.Traces = NewTraceCache(opts.Scale, opts.Seed)
+	for _, par := range []int{2, 1, 2} {
+		opts.Parallelism = par
+		got, err := NewRunner(opts).RunJobs(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if (got[i].Err == nil) != (want[i].Err == nil) || !reflect.DeepEqual(got[i].Result, want[i].Result) {
+				t.Errorf("parallelism %d, job %d (%s/%s[%d]): shared-cache result differs from a fresh runner's",
+					par, i, jobs[i].Workload, jobs[i].Prefetcher, jobs[i].Point)
+			}
 		}
 	}
 }
@@ -218,20 +248,28 @@ func TestDeriveSeedProperties(t *testing.T) {
 	}
 }
 
-// TestTraceImmutabilityGuard mutates a cached shared trace and checks the
-// engine refuses to hand results back silently.
+// TestTraceImmutabilityGuard mutates one of several cached shared traces
+// and checks the engine, re-hashing them in parallel, refuses to hand
+// results back silently and names the mutated trace.
 func TestTraceImmutabilityGuard(t *testing.T) {
 	r := engineRunner(2)
-	tr, err := r.Trace("array")
-	if err != nil {
-		t.Fatal(err)
+	var tr *trace.Trace
+	for _, w := range []string{"array", "list", "mcf"} {
+		var err error
+		if tr, err = r.Trace(w); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := r.Traces().VerifyImmutable(); err != nil {
+	if err := r.Traces().VerifyImmutable(2); err != nil {
 		t.Fatalf("pristine cache failed verification: %v", err)
 	}
 	tr.Records[0].Addr ^= 0x40 // simulated stray write by a buggy run
-	if _, err := r.RunJobs([]Job{{Workload: "array", Prefetcher: "none"}}); err == nil {
+	_, err := r.RunJobs([]Job{{Workload: "array", Prefetcher: "none"}})
+	if err == nil {
 		t.Fatal("RunJobs returned no error after a cached trace was mutated")
+	}
+	if !strings.Contains(err.Error(), `"mcf"`) {
+		t.Fatalf("error does not name the mutated trace: %v", err)
 	}
 }
 

@@ -73,11 +73,11 @@ func DefaultOptions() Options {
 // runner's context stops in-flight simulations promptly.
 //
 // Traces live in a TraceCache (shared read-only across all concurrent
-// runs); per-run mutable scratch is recycled through a sim.RunPool, so a
-// long experiment matrix reaches a steady state where simulations stop
-// allocating cache hierarchies. RunJobs is the batch entry point with the
-// full determinism contract; Result/ResultsFor remain the memoized
-// per-pair API.
+// runs); per-run mutable scratch is recycled through the cache's
+// sim.RunPool, so a long experiment matrix reaches a steady state where
+// simulations stop allocating cache hierarchies. RunJobs is the batch
+// entry point with the full determinism contract; Result/ResultsFor
+// remain the memoized per-pair API.
 type Runner struct {
 	opts   Options
 	ctx    context.Context
@@ -141,7 +141,7 @@ func NewRunnerContext(ctx context.Context, opts Options) *Runner {
 		opts:    opts,
 		ctx:     ctx,
 		traces:  tc,
-		pool:    sim.NewRunPool(),
+		pool:    tc.pool,
 		met:     newRunMetrics(opts.Metrics),
 		lm:      lm,
 		spans:   opts.Spans,

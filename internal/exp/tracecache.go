@@ -7,6 +7,7 @@ import (
 
 	"semloc/internal/harness"
 	"semloc/internal/obs"
+	"semloc/internal/sim"
 	"semloc/internal/trace"
 	"semloc/internal/workloads"
 )
@@ -34,6 +35,13 @@ type TraceCache struct {
 	errs   map[string]error
 	inFly  map[string]*sync.WaitGroup
 
+	// pool recycles per-run simulation scratch and memoizes each trace's
+	// branch histories. It lives with the traces rather than with one
+	// Runner, so runners sharing the cache (one per pass in a repeated
+	// matrix) stop re-deriving the histories and re-allocating the
+	// scratch, tens of MB per pass at scale 1.
+	pool *sim.RunPool
+
 	// genHook, when set, observes each actual generator invocation (tests
 	// use it to assert single-flight).
 	genHook func(workload string)
@@ -58,6 +66,7 @@ func NewTraceCache(scale float64, seed uint64) *TraceCache {
 		seed:   seed,
 		traces: make(map[string]*trace.Trace),
 		sums:   make(map[string]uint64),
+		pool:   sim.NewRunPool(),
 		errs:   make(map[string]error),
 		inFly:  make(map[string]*sync.WaitGroup),
 	}
@@ -185,23 +194,28 @@ func (c *TraceCache) generate(ctx context.Context, workload string) (*trace.Trac
 // VerifyImmutable re-checksums every cached trace against the digest
 // recorded when it entered the cache, and reports the first mismatch: a
 // shared trace was written to by something that should have treated it as
-// read-only. The engine calls this after every job batch; the re-hash is
-// O(records) per trace, noise next to even one simulation of that trace.
-func (c *TraceCache) VerifyImmutable() error {
+// read-only. The engine calls this after every job batch, hashing up to
+// workers traces at once; the re-hash is O(records) per trace, noise next
+// to even one simulation of that trace.
+func (c *TraceCache) VerifyImmutable(workers int) error {
 	c.mu.Lock()
-	traces := make(map[string]*trace.Trace, len(c.traces))
-	sums := make(map[string]uint64, len(c.sums))
+	names := make([]string, 0, len(c.traces))
+	traces := make([]*trace.Trace, 0, len(c.traces))
+	sums := make([]uint64, 0, len(c.traces))
 	for k, v := range c.traces {
-		traces[k] = v
-		sums[k] = c.sums[k]
+		names = append(names, k)
+		traces = append(traces, v)
+		sums = append(sums, c.sums[k])
 	}
 	c.mu.Unlock()
 	// Hash outside the lock: concurrent readers are fine (the whole point
 	// is that the data is immutable), and a concurrent writer is exactly
 	// the corruption this check exists to expose.
-	for name, tr := range traces {
-		if got := tr.Checksum(); got != sums[name] {
-			return fmt.Errorf("exp: shared trace %q mutated while cached (checksum %#x, recorded %#x): concurrent runs may be corrupted", name, got, sums[name])
+	got := make([]uint64, len(traces))
+	parallelFor(len(traces), max(workers, 1), func(k int) { got[k] = traces[k].Checksum() })
+	for k, name := range names {
+		if got[k] != sums[k] {
+			return fmt.Errorf("exp: shared trace %q mutated while cached (checksum %#x, recorded %#x): concurrent runs may be corrupted", name, got[k], sums[k])
 		}
 	}
 	return nil

@@ -13,22 +13,25 @@ import (
 //   - PC/DC (per-PC, delta correlation): the history buffer is localized
 //     into per-PC streams through the index table.
 //
-// The history buffer is a circular buffer of the most recent miss
-// addresses; entries of one stream are chained by buffer index. On each
-// access the prefetcher walks its stream's recent deltas, searches for the
-// previous occurrence of the current delta pair, and prefetches the deltas
-// that followed it.
+// The modelled hardware is a circular buffer of the most recent miss
+// addresses whose entries of one stream are chained by buffer index. On
+// each access the prefetcher walks its stream's recent deltas, searches for
+// the previous occurrence of the current delta pair, and prefetches the
+// deltas that followed it.
+//
+// In software each index slot instead keeps its stream's newest lines in a
+// newest-first window (ghbStream), so the walk is a slice read rather than
+// a chase through the ring. The ring itself is implied by a write tick: it
+// takes one entry per trained access, so the entry written at tick t is
+// overwritten at tick t+BufferSize, and the chain walk would stop at the
+// first such entry. A window entry is therefore live iff its tick is newer
+// than tick−BufferSize, which makes the prefetches identical to the walk.
 //
 // Table 2 scaling: 2K-entry GHB, history (correlation) length 3, prefetch
 // degree 3, ~32 kB total.
 type GHB struct {
-	cfg GHBConfig
-
-	buf  []ghbEntry
-	head int   // next write position
-	gen  []int // generation stamp: buffer write count at entry
-	tick int
-
+	cfg   GHBConfig
+	tick  int // trained accesses so far
 	index []ghbIndex
 	ibits uint
 }
@@ -73,17 +76,22 @@ func DefaultGHBConfig(loc GHBLocalization) GHBConfig {
 	}
 }
 
-type ghbEntry struct {
-	line memmodel.Line
-	prev int // buffer index of previous entry in same stream (-1 none)
-	gen  int // tick at which prev was written (validity check)
+// ghbWalk is the most stream entries one access looks back over.
+const ghbWalk = 64
+
+// ghbStream holds one stream's newest ghbWalk lines and their write ticks,
+// newest first at [head, head+n). Each entry is written at i and i+ghbWalk,
+// so the window is always contiguous.
+type ghbStream struct {
+	lines [2 * ghbWalk]memmodel.Line
+	ticks [2 * ghbWalk]int
+	head  int
+	n     int
 }
 
 type ghbIndex struct {
-	key   uint64
-	last  int // buffer index of stream head
-	gen   int
-	valid bool
+	key    uint64
+	stream *ghbStream // nil until the slot is first trained
 }
 
 // NewGHB creates a GHB prefetcher. Zero-value config fields default to the
@@ -106,17 +114,11 @@ func NewGHB(cfg GHBConfig) *GHB {
 	for isize < cfg.IndexSize {
 		isize <<= 1
 	}
-	g := &GHB{
+	return &GHB{
 		cfg:   cfg,
-		buf:   make([]ghbEntry, cfg.BufferSize),
-		gen:   make([]int, cfg.BufferSize),
 		index: make([]ghbIndex, isize),
 		ibits: log2(isize),
 	}
-	for i := range g.buf {
-		g.buf[i].prev = -1
-	}
-	return g
 }
 
 // Name implements Prefetcher.
@@ -141,69 +143,60 @@ func (g *GHB) OnAccess(a *Access, iss Issuer) {
 	}
 	key := g.streamKey(a)
 	slot := &g.index[hashBits(key, g.ibits)]
-
-	// Link the new entry into its stream.
-	prev := -1
-	prevGen := 0
-	if slot.valid && slot.key == key && g.entryLive(slot.last, slot.gen) {
-		prev = slot.last
-		prevGen = slot.gen
+	if slot.stream == nil {
+		slot.stream = new(ghbStream)
+	} else if slot.key != key {
+		slot.stream.n = 0 // a new stream takes the slot over
 	}
-	pos := g.head
+	slot.key = key
 	g.tick++
-	g.buf[pos] = ghbEntry{line: memmodel.LineOf(a.Addr), prev: prev, gen: prevGen}
-	g.gen[pos] = g.tick
-	g.head = (g.head + 1) % len(g.buf)
-	*slot = ghbIndex{key: key, last: pos, gen: g.tick, valid: true}
+	lines := slot.stream.push(memmodel.LineOf(a.Addr), g.tick, g.tick-g.cfg.BufferSize)
 
-	// Gather the stream's most recent lines (newest first).
-	const maxWalk = 64
-	var lines [maxWalk]memmodel.Line
-	n := 0
-	idx, gen := pos, g.tick
-	for n < maxWalk && idx >= 0 && g.entryLive(idx, gen) {
-		lines[n] = g.buf[idx].line
-		gen = g.buf[idx].gen
-		idx = g.buf[idx].prev
-		n++
-	}
 	// Need at least 3 lines for two trailing deltas plus a match window.
-	h := g.cfg.HistoryLength
-	if h < 2 {
-		h = 2
-	}
-	if n < h+2 {
+	n := len(lines)
+	if n < max(g.cfg.HistoryLength, 2)+2 {
 		return
 	}
-	// deltas[i] = lines[i] - lines[i+1]; deltas[0] is the most recent.
-	// Fixed-size backing array: a make() here would heap-allocate on every
-	// trained access (n is capped at maxWalk).
-	var deltaBuf [maxWalk - 1]int64
-	deltas := deltaBuf[:n-1]
-	for i := 0; i < n-1; i++ {
-		deltas[i] = lines[i].Delta(lines[i+1])
-	}
+	// Delta i is lines[i] - lines[i+1]; delta 0 is the most recent.
 	// Correlation key: the last two deltas (standard delta-pair
 	// correlation). Find the previous position with the same pair.
-	k0, k1 := deltas[0], deltas[1]
-	for i := 2; i+1 < len(deltas); i++ {
-		if deltas[i] == k0 && deltas[i+1] == k1 {
-			// Replay the deltas that followed the earlier occurrence
-			// (moving toward the present), i.e. deltas[i-1], deltas[i-2]...
-			cur := memmodel.LineOf(a.Addr)
-			issued := 0
-			for j := i - 1; j >= 0 && issued < g.cfg.Degree; j-- {
-				cur = cur.AddLines(deltas[j])
-				iss.Prefetch(cur.Base(), a.Now)
-				issued++
-			}
-			return
+	k0, k1 := lines[0].Delta(lines[1]), lines[1].Delta(lines[2])
+	for i := 2; i+2 < n; i++ {
+		if lines[i].Delta(lines[i+1]) != k0 || lines[i+1].Delta(lines[i+2]) != k1 {
+			continue
 		}
+		// Replay the deltas that followed the earlier occurrence (moving
+		// toward the present), i.e. deltas i-1, i-2, ... A target below
+		// address 0 ends the replay rather than wrapping.
+		cur := lines[0]
+		for j := i - 1; j >= 0 && j >= i-g.cfg.Degree; j-- {
+			d := lines[j].Delta(lines[j+1])
+			if int64(cur)+d < 0 {
+				return
+			}
+			cur = cur.AddLines(d)
+			iss.Prefetch(cur.Base(), a.Now)
+		}
+		return
 	}
 }
 
-// entryLive checks that buffer position idx still holds the entry written
-// at generation gen (it may have been overwritten by wrap-around).
-func (g *GHB) entryLive(idx, gen int) bool {
-	return idx >= 0 && gen > 0 && g.gen[idx] == gen
+// push records line as the stream's newest entry, written at tick, and
+// returns the live window newest first: the entries written after tick
+// dead, which the modelled ring would still hold.
+func (s *ghbStream) push(line memmodel.Line, tick, dead int) []memmodel.Line {
+	s.head = (s.head + ghbWalk - 1) % ghbWalk
+	s.lines[s.head], s.lines[s.head+ghbWalk] = line, line
+	s.ticks[s.head], s.ticks[s.head+ghbWalk] = tick, tick
+	s.n = min(s.n+1, ghbWalk)
+	// Ticks fall toward the window's end, so the live entries are a prefix.
+	// An entry never revives, so dropping the dead tail keeps the next
+	// check O(1).
+	if ticks := s.ticks[s.head : s.head+s.n]; ticks[s.n-1] <= dead {
+		s.n = 0
+		for s.n < len(ticks) && ticks[s.n] > dead {
+			s.n++
+		}
+	}
+	return s.lines[s.head : s.head+s.n]
 }

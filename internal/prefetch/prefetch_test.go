@@ -181,16 +181,28 @@ func TestGHBNames(t *testing.T) {
 	}
 }
 
+// TestGHBWrapAroundSafe hammers a tiny PC/DC configuration: two hot
+// unit-stride PCs plus random accesses from 62 others, so the buffer wraps
+// every 16 accesses, links go stale and index slots change hands. It
+// requires exactly the chained reference's prefetches.
 func TestGHBWrapAroundSafe(t *testing.T) {
-	p := NewGHB(GHBConfig{Localization: LocalizePC, BufferSize: 16, IndexSize: 8})
-	iss := newMockIssuer()
+	cfg := GHBConfig{Localization: LocalizePC, BufferSize: 16, IndexSize: 8}
 	rng := memmodel.NewRNG(7)
-	// Hammer with many PCs so buffer wraps and stale links appear.
-	for i := 0; i < 1000; i++ {
-		pc := uint64(0x400 + rng.Intn(64)*4)
-		p.OnAccess(access(pc, memmodel.Addr(rng.Uint64()&0xffffff), uint64(i)), iss)
+	var next [2]memmodel.Addr
+	stream := make([]Access, 4000)
+	for i := range stream {
+		pc := rng.Intn(64)
+		addr := memmodel.Addr(rng.Uint64() & 0xffffff)
+		if rng.Intn(10) != 0 {
+			pc %= 2
+			next[pc] += memmodel.LineSize
+			addr = memmodel.Addr(pc+1)<<24 + next[pc]
+		}
+		stream[i] = *access(0x400+uint64(pc)*4, addr, uint64(i))
 	}
-	// Passing without panicking and without bogus self-prefetch floods.
+	if lockstep(t, NewGHB(cfg), newRefGHB(cfg), stream) == 0 {
+		t.Fatal("no prefetches: the comparison proves nothing")
+	}
 }
 
 func TestSMSLearnsSpatialPattern(t *testing.T) {

@@ -22,8 +22,8 @@ import (
 // 2 kB regions, ~20 kB total.
 type SMS struct {
 	cfg            SMSConfig
-	filter         []smsGen // trigger seen, single access so far
-	accum          []smsGen // active generations accumulating patterns
+	filter         smsTable // trigger seen, single access so far
+	accum          smsTable // active generations accumulating patterns
 	pht            []smsPattern
 	phtBits        uint
 	linesPerRegion uint
@@ -46,11 +46,31 @@ func DefaultSMSConfig() SMSConfig {
 }
 
 type smsGen struct {
-	region  uint64 // region number
 	key     uint64 // trigger PC + offset
 	pattern uint64 // bit per line in region
 	lru     uint64
-	valid   bool
+}
+
+// smsTable is a small fully associative table of generations. The region
+// tags live in their own dense array (smsFree marks an empty slot), so the
+// per-access lookup scans 8 bytes a slot rather than whole entries. A
+// region sits in at most one slot of one table: it enters the filter only
+// on a miss in both tables and leaves it when promoted to the AGT.
+type smsTable struct {
+	regions []uint64
+	gens    []smsGen
+}
+
+// smsFree tags an empty slot. A region number is an address divided by
+// RegionSize, so it cannot reach smsFree at any RegionSize above one byte.
+const smsFree = ^uint64(0)
+
+func newSMSTable(n int) smsTable {
+	t := smsTable{regions: make([]uint64, n), gens: make([]smsGen, n)}
+	for i := range t.regions {
+		t.regions[i] = smsFree
+	}
+	return t
 }
 
 type smsPattern struct {
@@ -84,8 +104,8 @@ func NewSMS(cfg SMSConfig) *SMS {
 	}
 	return &SMS{
 		cfg:            cfg,
-		filter:         make([]smsGen, cfg.FilterEntries),
-		accum:          make([]smsGen, cfg.AGTEntries),
+		filter:         newSMSTable(cfg.FilterEntries),
+		accum:          newSMSTable(cfg.AGTEntries),
 		pht:            make([]smsPattern, phtSize),
 		phtBits:        log2(phtSize),
 		linesPerRegion: lines,
@@ -105,24 +125,25 @@ func (s *SMS) phtSlot(key uint64) *smsPattern {
 	return &s.pht[hashBits(key, s.phtBits)]
 }
 
-func findGen(table []smsGen, region uint64) *smsGen {
-	for i := range table {
-		if table[i].valid && table[i].region == region {
-			return &table[i]
+// find returns the slot holding region, or -1.
+func (t *smsTable) find(region uint64) int {
+	for i, r := range t.regions {
+		if r == region {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-// victimGen picks an invalid or LRU slot.
-func victimGen(table []smsGen) *smsGen {
-	var v *smsGen
-	for i := range table {
-		if !table[i].valid {
-			return &table[i]
+// victim picks an empty or else the LRU slot.
+func (t *smsTable) victim() int {
+	v := 0
+	for i, r := range t.regions {
+		if r == smsFree {
+			return i
 		}
-		if v == nil || table[i].lru < v.lru {
-			v = &table[i]
+		if t.gens[i].lru < t.gens[v].lru {
+			v = i
 		}
 	}
 	return v
@@ -135,28 +156,28 @@ func (s *SMS) OnAccess(a *Access, iss Issuer) {
 	bit := uint64(1) << off
 
 	// Already accumulating?
-	if g := findGen(s.accum, region); g != nil {
+	if i := s.accum.find(region); i >= 0 {
+		g := &s.accum.gens[i]
 		g.pattern |= bit
 		g.lru = s.clock
 		return
 	}
 	// In the filter (one access so far)?
-	if g := findGen(s.filter, region); g != nil {
+	if i := s.filter.find(region); i >= 0 {
+		g := &s.filter.gens[i]
 		if g.pattern&bit != 0 {
 			// Same line again: still a single-line generation.
 			g.lru = s.clock
 			return
 		}
 		// Second distinct line: promote to the accumulation table.
-		promoted := *g
-		promoted.pattern |= bit
-		promoted.lru = s.clock
-		g.valid = false
-		v := victimGen(s.accum)
-		if v.valid {
-			s.recordPattern(v)
+		promoted := smsGen{key: g.key, pattern: g.pattern | bit, lru: s.clock}
+		s.filter.regions[i] = smsFree
+		v := s.accum.victim()
+		if s.accum.regions[v] != smsFree {
+			s.recordPattern(&s.accum.gens[v])
 		}
-		*v = promoted
+		s.accum.regions[v], s.accum.gens[v] = region, promoted
 		return
 	}
 
@@ -174,13 +195,11 @@ func (s *SMS) OnAccess(a *Access, iss Issuer) {
 			}
 		}
 	}
-	v := victimGen(s.filter)
-	if v.valid {
-		// A filter-table generation ends with a single line; such patterns
-		// carry no spatial information and are dropped (as in the paper).
-		v.valid = false
-	}
-	*v = smsGen{region: region, key: key, pattern: bit, lru: s.clock, valid: true}
+	// A filter-table generation evicted here ends with a single line; such
+	// patterns carry no spatial information and are dropped (as in the
+	// paper).
+	v := s.filter.victim()
+	s.filter.regions[v], s.filter.gens[v] = region, smsGen{key: key, pattern: bit, lru: s.clock}
 }
 
 // recordPattern stores an evicted generation's footprint in the PHT.

@@ -79,9 +79,13 @@ func (s *Stride) OnAccess(a *Access, iss Issuer) {
 	}
 	e.lastAddr = a.Addr
 	if e.conf >= 2 && e.stride != 0 {
+		// A target below address 0 ends the run rather than wrapping.
 		for d := 1; d <= s.cfg.Degree; d++ {
-			target := memmodel.Addr(int64(a.Addr) + e.stride*int64(d))
-			iss.Prefetch(target, a.Now)
+			target := int64(a.Addr) + e.stride*int64(d)
+			if target < 0 {
+				break
+			}
+			iss.Prefetch(memmodel.Addr(target), a.Now)
 		}
 	}
 }

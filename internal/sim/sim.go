@@ -300,20 +300,22 @@ func (m *adapter) Access(rec *trace.Record, now cache.Cycle) cache.Cycle {
 		hist = m.hists[m.cursor]
 	}
 	m.cursor++
-	m.acc = prefetch.Access{
-		PC:         rec.PC,
-		Addr:       rec.Addr,
-		Line:       line,
-		Now:        now,
-		Index:      m.accessIdx,
-		IsStore:    rec.Kind == trace.KindStore,
-		MissedL1:   res.Outcome != cache.OutcomeL1Hit,
-		Value:      rec.Value,
-		Reg:        rec.Reg,
-		BranchHist: hist,
-		Hints:      rec.Hints,
-	}
-	m.pf.OnAccess(&m.acc, m)
+	// Every field is set, one at a time: assigning a composite literal
+	// would build it in a temporary and block-copy that into m.acc on
+	// every access.
+	acc := &m.acc
+	acc.PC = rec.PC
+	acc.Addr = rec.Addr
+	acc.Line = line
+	acc.Now = now
+	acc.Index = m.accessIdx
+	acc.IsStore = rec.Kind == trace.KindStore
+	acc.MissedL1 = res.Outcome != cache.OutcomeL1Hit
+	acc.Value = rec.Value
+	acc.Reg = rec.Reg
+	acc.BranchHist = hist
+	acc.Hints = rec.Hints
+	m.pf.OnAccess(acc, m)
 	m.accessIdx++
 	if m.col != nil {
 		m.lastNow = now
