@@ -1,6 +1,6 @@
 # Development workflow for the semloc reproduction. `make check` is the
 # full gate: vet + build + race-enabled tests + short fuzz runs of the
-# trace decoder and the prefetchd wire-frame decoder + a quick-mode
+# trace decoder and the prefetchd wire-frame decoders + a quick-mode
 # benchmark smoke that fails unless cmd/bench produces a well-formed
 # report + an overhead guard that pins the disabled-telemetry hot path at
 # zero allocations per access + a race-enabled live observability smoke
@@ -30,12 +30,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz smokes both untrusted-input decoders: the trace reader and the
-# prefetchd wire-protocol frame decoder (go test allows one -fuzz pattern
-# per invocation, hence two runs).
+# fuzz smokes the untrusted-input decoders: the trace reader and the
+# prefetchd wire-protocol decoders, JSON frames and binary batch frames
+# (go test allows one -fuzz pattern per invocation, hence three runs).
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
-	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/serve
+	$(GO) test -fuzz='^FuzzDecodeFrame$$' -fuzztime=10s ./internal/serve
+	$(GO) test -fuzz='^FuzzDecodeBatchBinary$$' -fuzztime=10s ./internal/serve
 
 # bench runs the full fixed (workload, prefetcher) matrix and records the
 # perf trajectory at the repo root (see DESIGN.md, "Hot path & benchmarking").
@@ -109,7 +110,7 @@ serve-smoke:
 # serve_*_latency histogram count equals serve_decisions_total, and for
 # batched runs sum(serve_batch_size) re-adds to the same total), plus the
 # alloc guards pinning the disabled/unsampled serve tracer and the
-# steady-state batch codec at 0 allocs/op (DESIGN.md §17).
+# steady-state binary batch codec at 0 allocs/op (DESIGN.md §17).
 loadgen-smoke:
 	$(GO) test -race -count=1 -run '^TestLoadgenSmoke$$/^batch=1$$' ./cmd/loadgen
 	$(GO) test -race -count=1 -run '^TestLoadgenSmoke$$/^batch=16$$' ./cmd/loadgen

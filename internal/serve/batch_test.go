@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"net"
 	"testing"
 	"time"
@@ -108,176 +107,56 @@ func TestBatchValidateRejects(t *testing.T) {
 	}
 }
 
-// TestAppendFrameMatchesJSONMarshal pins the hand-rolled encoder to
-// encoding/json byte for byte: for every valid frame — including ones
-// whose strings force the fallback (escapes, non-ASCII, HTML-escaped
-// runes) — AppendFrame must produce exactly json.Marshal's bytes plus
-// the newline.
-func TestAppendFrameMatchesJSONMarshal(t *testing.T) {
-	frames := []*Frame{
-		{Type: FrameHello, Version: ProtocolVersion, Session: "s1", Batch: 64},
-		{Type: FrameWelcome, Session: "s1", LastSeq: 1<<64 - 1, Resumed: true, Batch: 1},
-		{Type: FrameAccess, Seq: 7, PC: 0x400123, Addr: 0xdeadbe00, Value: 9, Reg: 3,
-			BranchHist: 0xffff, Store: true,
-			Hints: &Hints{Valid: true, TypeID: 255, LinkOffset: 1<<16 - 1, RefForm: 2}},
-		{Type: FrameDecision, Seq: 7, Prefetch: []uint64{0, 1, 1<<64 - 1}, Shadow: []uint64{2}},
-		{Type: FrameBusy, Seq: 9, RetryMs: 50},
-		{Type: FramePong},
-		{Type: FrameStats, Stats: &SessionStats{ID: "s", Decisions: 1, LastSeq: 1}},
-		{Type: FrameBatch, Accesses: batchAccesses(1, MaxBatch)},
-		{Type: FrameBatch, Results: []BatchDecision{
-			{Seq: 3, Prefetch: []uint64{64}, Shadow: []uint64{128}},
-			{Seq: 4, Replayed: true}, {Seq: 5, Degraded: true}, {Seq: 6, Code: CodeStaleSeq},
-		}},
-		// Strings the fast path must bail on, falling back to
-		// encoding/json (which escapes <, >, & and control bytes).
-		{Type: FrameError, Code: CodeProtocol, Msg: `quote " backslash \ done`},
-		{Type: FrameError, Code: CodeBadFrame, Msg: "<html> & ünïcode \t tab"},
-		{Type: FrameError, Code: CodeStaleSeq, Msg: "plain ascii msg"},
-		{Type: FrameHello, Version: ProtocolVersion, Session: "sess-é"},
-	}
-	for i, f := range frames {
-		want, err := json.Marshal(f)
-		if err != nil {
-			t.Fatalf("case %d: json.Marshal: %v", i, err)
-		}
-		got, err := AppendFrame(nil, f)
-		if err != nil {
-			t.Fatalf("case %d: AppendFrame: %v", i, err)
-		}
-		if !bytes.Equal(got, append(want, '\n')) {
-			t.Fatalf("case %d (%s): encoder diverged from encoding/json:\nfast: %s\njson: %s\n",
-				i, f.Type, got, want)
-		}
-	}
-}
-
-// TestDecodeFrameIntoMatchesEncodingJSON runs canonical and deliberately
-// non-canonical inputs through DecodeFrameInto and through a plain
-// json.Unmarshal+Validate, and requires identical outcomes: same frame
-// or both rejecting. The non-canonical shapes (reordered keys,
-// whitespace, escapes, floats, leading zeros, duplicate keys) are
-// exactly the ones the fast parser must bail on rather than mis-parse.
-func TestDecodeFrameIntoMatchesEncodingJSON(t *testing.T) {
-	lines := []string{
-		`{"type":"access","seq":1,"pc":4,"addr":64}`,
-		`{"seq":1,"addr":64,"type":"access","pc":4}`,             // reordered keys
-		`{ "type" : "access" , "seq" : 1 , "addr" : 64 }`,        // whitespace
-		`{"type":"access","seq":1,"addr":64}`,                    // escaped type
-		`{"type":"access","seq":01,"addr":64}`,                   // leading zero: invalid JSON
-		`{"type":"access","seq":1.0,"addr":64}`,                  // float into uint64
-		`{"type":"access","seq":1e0,"addr":64}`,                  // exponent
-		`{"type":"access","seq":-1,"addr":64}`,                   // negative into uint64
-		`{"type":"access","seq":18446744073709551615,"addr":64}`, // max uint64
-		`{"type":"access","seq":18446744073709551616,"addr":64}`, // overflow
-		`{"type":"access","seq":1,"seq":2,"addr":64}`,            // duplicate key
-		`{"type":"access","seq":1,"addr":64,"unknown_key":true}`, // unknown key
-		`{"type":"access","seq":1,"addr":64,"hints":null}`,       // null hints
-		`{"type":"access","seq":1,"addr":64,"store":false}`,      // explicit zero value
-		`{"type":"batch","accesses":[{"seq":1},{"seq":2}]}`,      // minimal batch
-		`{"type":"batch","accesses":[{"seq":1},{"seq":1}]}`,      // duplicate seqs: invalid
-		`{"type":"batch","accesses":[]}`,                         // empty batch: invalid
-		`{"type":"batch","results":[{"seq":1,"prefetch":[64]}]}`, // results side
-		`{"type":"batch","accesses":[{"seq":1,"hints":{"valid":true,"type_id":3}}]}`,
-		`{"type":"decision","seq":1,"prefetch":[1,2,3],"shadow":[]}`,
-		`{"type":"hello","v":1,"session":"s","batch":16}`,
-		`{"type":"hello","v":1,"session":"s","batch":-2}`, // negative ask: invalid
-		`{"type":"error","code":"stale_seq","msg":"mé"}`,
-		`{"type":"access","seq":1,"addr":64}extra`, // trailing garbage
-		`{"type":"access","seq":1,"addr":64} `,     // trailing space
-	}
-	for _, line := range lines {
-		var fast Frame
-		fastErr := DecodeFrameInto([]byte(line), &fast)
-
-		var ref Frame
-		refErr := json.Unmarshal([]byte(line), &ref)
-		if refErr == nil {
-			refErr = ref.Validate()
-		}
-		if (fastErr == nil) != (refErr == nil) {
-			t.Errorf("%s: decoder disagreement: fast err %v, encoding/json err %v", line, fastErr, refErr)
-			continue
-		}
-		if fastErr != nil {
-			continue
-		}
-		// Compare through re-encoding: the frames' public payloads must
-		// be identical (spare buffers aside).
-		fb, _ := json.Marshal(&fast)
-		rb, _ := json.Marshal(&ref)
-		if !bytes.Equal(fb, rb) {
-			t.Errorf("%s: decoded frames differ:\nfast: %s\njson: %s", line, fb, rb)
-		}
-	}
-}
-
 // TestSteadyStateCodecZeroAlloc is the batched-pipeline alloc guard: once
-// warm, encoding and decoding a full 64-access batch (hints included)
-// into reused buffers must not allocate at all — that is the whole
-// premise of the amortized serving path.
+// warm, encoding and decoding a full 64-access binary request (hints
+// included) and a 64-decision binary reply into reused buffers must not
+// allocate at all — that is the whole premise of the amortized serving
+// path.
 func TestSteadyStateCodecZeroAlloc(t *testing.T) {
-	fr := &Frame{Type: FrameBatch}
+	req := &Frame{Type: FrameBatch}
+	resp := &Frame{Type: FrameBatch}
 	for i := 0; i < MaxBatch; i++ {
-		fr.Accesses = append(fr.Accesses, BatchAccess{
-			Seq: uint64(i + 1), PC: 0x400000 + uint64(i), Addr: uint64(0x100000 + i*64),
+		seq := uint64(i + 1)
+		req.Accesses = append(req.Accesses, BatchAccess{
+			Seq: seq, PC: 0x400000 + uint64(i), Addr: uint64(0x100000 + i*64),
 			Value: uint64(i), Reg: uint64(i % 16), BranchHist: uint16(i), Store: i%2 == 0,
 			Hints: &Hints{Valid: true, TypeID: 3, LinkOffset: 8, RefForm: 1},
 		})
+		resp.Results = append(resp.Results, BatchDecision{
+			Seq: seq, Prefetch: []uint64{uint64(0x100040 + i*64), uint64(0x100080 + i*64)},
+			Shadow: []uint64{uint64(0x1000c0 + i*64)}, Replayed: i%7 == 0,
+		})
 	}
-	buf, err := AppendFrame(nil, fr) // warm the buffer
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		buf, err = AppendFrame(buf[:0], fr)
+	for _, fr := range []*Frame{req, resp} {
+		buf, err := AppendBinaryFrame(nil, fr) // warm the buffer
 		if err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("steady-state batch encode allocates %.1f/op, want 0", n)
-	}
+		if n := testing.AllocsPerRun(200, func() {
+			if buf, err = AppendBinaryFrame(buf[:0], fr); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("steady-state binary encode allocates %.1f/op, want 0", n)
+		}
 
-	line := buf[:len(buf)-1]
-	var dec Frame
-	if err := DecodeFrameInto(line, &dec); err != nil { // warm the frame's storage
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		if err := DecodeFrameInto(line, &dec); err != nil {
+		r := bytes.NewReader(buf)
+		fr2 := NewFrameReader(r)
+		var dec Frame
+		if err := fr2.ReadInto(&dec); err != nil { // warm the frame's storage
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("steady-state batch decode allocates %.1f/op, want 0", n)
-	}
-	if len(dec.Accesses) != MaxBatch || dec.Accesses[63].Hints == nil {
-		t.Fatalf("reused decode dropped payload: %d accesses", len(dec.Accesses))
-	}
-
-	// The single-frame path gets the same guarantee (satellite: writer-side
-	// buffer reuse on the legacy path).
-	single := &Frame{Type: FrameDecision, Seq: 9, Prefetch: []uint64{64, 128}, Shadow: []uint64{192}}
-	if buf, err = AppendFrame(buf[:0], single); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		buf, err = AppendFrame(buf[:0], single)
-		if err != nil {
-			t.Fatal(err)
+		if n := testing.AllocsPerRun(200, func() {
+			r.Reset(buf)
+			if err := fr2.ReadInto(&dec); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("steady-state binary decode allocates %.1f/op, want 0", n)
 		}
-	}); n != 0 {
-		t.Fatalf("steady-state single encode allocates %.1f/op, want 0", n)
-	}
-	sline := buf[:len(buf)-1]
-	if err := DecodeFrameInto(sline, &dec); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		if err := DecodeFrameInto(sline, &dec); err != nil {
-			t.Fatal(err)
+		if !sameBatch(&dec, fr) {
+			t.Fatalf("reused decode changed the payload")
 		}
-	}); n != 0 {
-		t.Fatalf("steady-state single decode allocates %.1f/op, want 0", n)
 	}
 }
 

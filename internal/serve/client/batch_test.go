@@ -364,19 +364,15 @@ func TestChaosLossyTransportBatched(t *testing.T) {
 		t.Fatalf("proxy injected no faults (dropped %d, duplicated %d) — test proved nothing",
 			p.dropped.Load(), p.duplicated.Load())
 	}
+	if p.binary.Load() == 0 {
+		t.Fatal("proxy forwarded no binary batch frames — the binary encoding was not exercised")
+	}
 
 	decisions := srvReg.Counter("serve_decisions_total", "").Value()
 	if decisions != n {
 		t.Fatalf("decisions_total %d under batched chaos, want exactly %d", decisions, n)
 	}
-	for _, name := range []string{
-		serve.MetricDecodeLatency, serve.MetricQueueWaitLatency,
-		serve.MetricDecideLatency, serve.MetricWriteLatency, serve.MetricFrameLatency,
-	} {
-		if got := srvReg.Histogram(name, "", obs.DefaultLatencyBuckets).Count(); got != decisions {
-			t.Fatalf("%s count %d != serve_decisions_total %d", name, got, decisions)
-		}
-	}
+	waitStageCounts(t, srvReg, decisions)
 	if got := cliReg.Histogram(MetricClientRTT, "", obs.DefaultLatencyBuckets).Count(); got != n {
 		t.Fatalf("client RTT count %d, want %d (one sample per decision)", got, n)
 	}
@@ -491,6 +487,9 @@ func TestChaosKillRestartBatched(t *testing.T) {
 
 	if replays == 0 {
 		t.Fatal("abrupt kill caused no rewind — batched crash path not exercised")
+	}
+	if p.binary.Load() == 0 {
+		t.Fatal("proxy forwarded no binary batch frames — the binary encoding was not exercised")
 	}
 	if c.Reconnects < 2 {
 		t.Fatalf("client reconnected %d times across two restarts", c.Reconnects)

@@ -1,7 +1,7 @@
 package client
 
 import (
-	"bufio"
+	"fmt"
 	"net"
 	"os"
 	"runtime"
@@ -16,8 +16,8 @@ import (
 )
 
 // chaosProxy sits between client and daemon and injects frame-level
-// faults: whole newline-delimited frames are dropped, duplicated or
-// delayed in either direction. The backend address is swappable so a
+// faults: whole frames — JSON lines and binary batch frames alike — are
+// dropped, duplicated or delayed in either direction. The backend address is swappable so a
 // restarted daemon (new port) slots in without the client noticing.
 type chaosProxy struct {
 	t  *testing.T
@@ -38,6 +38,8 @@ type chaosProxy struct {
 	dropped    atomic.Uint64
 	duplicated atomic.Uint64
 	delayed    atomic.Uint64
+	// binary counts forwarded binary batch frames.
+	binary atomic.Uint64
 }
 
 func startProxy(t *testing.T, backend string, dropPM, dupPM, delayPM int) *chaosProxy {
@@ -106,16 +108,24 @@ func (p *chaosProxy) accept() {
 	}
 }
 
-// pump forwards newline frames src→dst with faults. Either side dying
-// closes both, severing the whole proxied connection.
+// pump forwards whole frames src→dst with faults, split on the wire
+// framing by serve.FrameReader.ReadRaw. Either side dying closes both,
+// severing the whole proxied connection.
 func (p *chaosProxy) pump(src, dst net.Conn) {
 	defer p.wg.Done()
 	defer src.Close()
 	defer dst.Close()
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 4096), serve.MaxFrameBytes+2)
-	for sc.Scan() {
-		line := append(append([]byte(nil), sc.Bytes()...), '\n')
+	r := serve.NewFrameReader(src)
+	var buf []byte
+	for {
+		frame, bin, err := r.ReadRaw(buf[:0])
+		if err != nil {
+			return
+		}
+		buf = frame
+		if bin {
+			p.binary.Add(1)
+		}
 		if p.roll() < p.dropPM {
 			p.dropped.Add(1)
 			continue
@@ -124,12 +134,12 @@ func (p *chaosProxy) pump(src, dst net.Conn) {
 			p.delayed.Add(1)
 			time.Sleep(p.delay)
 		}
-		if _, err := dst.Write(line); err != nil {
+		if _, err := dst.Write(frame); err != nil {
 			return
 		}
 		if p.roll() < p.dupPM {
 			p.duplicated.Add(1)
-			if _, err := dst.Write(line); err != nil {
+			if _, err := dst.Write(frame); err != nil {
 				return
 			}
 		}
@@ -244,14 +254,7 @@ func TestChaosLossyTransport(t *testing.T) {
 	if decisions != n {
 		t.Fatalf("decisions_total %d under chaos, want exactly %d", decisions, n)
 	}
-	for _, name := range []string{
-		serve.MetricDecodeLatency, serve.MetricQueueWaitLatency,
-		serve.MetricDecideLatency, serve.MetricWriteLatency, serve.MetricFrameLatency,
-	} {
-		if got := srvReg.Histogram(name, "", obs.DefaultLatencyBuckets).Count(); got != decisions {
-			t.Fatalf("%s count %d != serve_decisions_total %d", name, got, decisions)
-		}
-	}
+	waitStageCounts(t, srvReg, decisions)
 	// Client-side metrics agree with the exported int counters, and the
 	// RTT histogram saw every successful exchange.
 	if got := cliReg.Histogram(MetricClientRTT, "", obs.DefaultLatencyBuckets).Count(); got != n {
@@ -407,6 +410,24 @@ func TestClientStats(t *testing.T) {
 	}
 	if st.ID != "st" || st.Decisions != n || st.LastSeq != n || !st.Attached {
 		t.Fatalf("session stats %+v", st)
+	}
+}
+
+// waitStageCounts requires every serve_*_latency histogram count to
+// equal decisions. A session worker counts a decision before writing its
+// reply but observes the stage histograms after the write, so the client
+// can hold the last reply a moment before the server's accounting for it
+// lands: the counts get a bounded wait to settle, then must be exact.
+func waitStageCounts(t *testing.T, reg *obs.Registry, decisions uint64) {
+	t.Helper()
+	for _, name := range []string{
+		serve.MetricDecodeLatency, serve.MetricQueueWaitLatency,
+		serve.MetricDecideLatency, serve.MetricWriteLatency, serve.MetricFrameLatency,
+	} {
+		h := reg.Histogram(name, "", obs.DefaultLatencyBuckets)
+		waitFor(t, 5*time.Second, func() bool { return h.Count() == decisions }, func() string {
+			return fmt.Sprintf("%s count %d != serve_decisions_total %d", name, h.Count(), decisions)
+		})
 	}
 }
 

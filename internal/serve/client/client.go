@@ -1,5 +1,6 @@
 // Package client is the prefetchd wire client: a lockstep
-// request/response loop over the newline-JSONL protocol with the retry
+// request/response loop over prefetchd's wire protocol (JSON lines, with
+// batches in the binary encoding when the daemon grants it) with the retry
 // discipline the daemon's exactly-once semantics assume — reconnect with
 // exponential backoff plus deterministic jitter, resend the in-flight
 // access under the same seq (the server's replay cache absorbs
@@ -45,7 +46,8 @@ type Config struct {
 	RequestTimeout time.Duration
 
 	// MaxBatch, when positive, asks the daemon at hello for batched
-	// decisions of up to this size (clamped to serve.MaxBatch). The
+	// decisions of up to this size (clamped to serve.MaxBatch), sent as
+	// binary batch frames when the daemon grants that encoding too. The
 	// granted size is Batch(); 0 keeps the legacy frame-at-a-time
 	// protocol, and DecideBatch degrades to per-access exchanges against
 	// daemons that grant 0.
@@ -120,6 +122,7 @@ type Client struct {
 	serverSeq uint64 // last seq the server reported applied (welcome)
 	resumed   bool   // last welcome's Resumed flag
 	batch     int    // batch size granted at the last welcome (0: unbatched)
+	binary    bool   // batch frames travel in the binary encoding (granted at welcome)
 	failures  int    // consecutive transport failures, drives backoff
 	rng       uint64
 
@@ -197,7 +200,8 @@ func (c *Client) connect() error {
 	if ask > serve.MaxBatch {
 		ask = serve.MaxBatch
 	}
-	w := &serve.Frame{Type: serve.FrameHello, Version: serve.ProtocolVersion, Session: c.cfg.Session, Batch: ask}
+	w := &serve.Frame{Type: serve.FrameHello, Version: serve.ProtocolVersion, Session: c.cfg.Session,
+		Batch: ask, Binary: ask > 0}
 	b, err := serve.AppendFrame(c.enc[:0], w)
 	if err != nil {
 		conn.Close()
@@ -230,14 +234,18 @@ func (c *Client) connect() error {
 		granted = 0
 	}
 	c.batch = granted
+	// A welcome without the grant (an older daemon) keeps batch frames on
+	// JSON lines.
+	c.binary = granted > 0 && fr.Binary
 	return nil
 }
 
-// send encodes f into the client's reused buffer and writes it under the
-// given deadline. The encoded bytes stay intact (for a same-bytes resend
-// after a busy bounce) until the next send.
+// send encodes f into the client's reused buffer — batch frames in the
+// binary form when the daemon granted it — and writes it under the given
+// deadline. The encoded bytes stay intact (for a same-bytes resend after
+// a busy bounce) until the next send.
 func (c *Client) send(f *serve.Frame, timeout time.Duration) error {
-	b, err := serve.AppendFrame(c.enc[:0], f)
+	b, err := serve.AppendWireFrame(c.enc[:0], f, c.binary)
 	if err != nil {
 		return err
 	}
@@ -650,7 +658,7 @@ func (c *Client) Stats() (*serve.SessionStats, error) {
 				return nil, fmt.Errorf("client: stats reply without payload")
 			}
 			return got.Stats, nil
-		case serve.FrameDecision, serve.FramePong:
+		case serve.FrameDecision, serve.FrameBatch, serve.FramePong:
 			// Late answers to earlier traffic (duplicated by a chaos
 			// proxy): skip.
 		case serve.FrameError:
@@ -691,7 +699,7 @@ func (c *Client) Explain(topK int) (*serve.ExplainReport, error) {
 				return nil, fmt.Errorf("client: explain reply without payload")
 			}
 			return got.Explain, nil
-		case serve.FrameDecision, serve.FramePong:
+		case serve.FrameDecision, serve.FrameBatch, serve.FramePong:
 			// Late answers to earlier traffic (duplicated by a chaos
 			// proxy): skip.
 		case serve.FrameError:

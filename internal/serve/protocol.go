@@ -10,7 +10,7 @@ package serve
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -30,7 +30,9 @@ type FrameType string
 
 // Wire frame types. The protocol is newline-delimited JSON (one object
 // per line): trivially debuggable with netcat, trivially fuzzable, and
-// framed so a chaos proxy can drop/duplicate/delay whole frames.
+// framed so a chaos proxy can drop/duplicate/delay whole frames. Batch
+// frames alone may instead travel in a length-prefixed binary form on
+// connections that negotiate it (Frame.Binary; see codec.go).
 const (
 	// FrameHello opens a connection: client → server, naming the session
 	// to create or re-attach.
@@ -57,9 +59,9 @@ const (
 	FrameBye FrameType = "bye"
 	// FrameBatch carries up to MaxBatch accesses (client → server,
 	// Accesses set) or their decisions (server → client, Results set) in
-	// one frame, amortizing the per-frame JSON and syscall cost. Batching
-	// is negotiated at hello (Frame.Batch); connections that did not
-	// negotiate it never see this type.
+	// one frame, amortizing the per-frame codec and syscall cost.
+	// Batching is negotiated at hello (Frame.Batch); connections that did
+	// not negotiate it never see this type.
 	FrameBatch FrameType = "batch"
 	// FrameExplain requests (client → server, optional TopK) or carries
 	// (server → client, Explain set) a live learner-introspection report
@@ -182,6 +184,12 @@ type Frame struct {
 	// granted size, min(client ask, server cap, MaxBatch). Old peers
 	// ignore the field and keep speaking frame-for-frame.
 	Batch int `json:"batch,omitempty"`
+	// Binary negotiates the binary batch encoding: on hello the client
+	// asks for it (it does whenever it asks for batching), on welcome the
+	// server grants it (it always does when asked). Batch frames on a
+	// granted connection travel in the binary form both ways; every other
+	// frame stays a JSON line.
+	Binary bool `json:"binary,omitempty"`
 
 	// Access / decision correlation. Seq is per-session, strictly
 	// increasing; the first access of a session is seq 1.
@@ -234,9 +242,11 @@ type Frame struct {
 	Msg  string `json:"msg,omitempty"`
 
 	// spareHints parks a previously allocated Hints value across reset so
-	// the in-place decoder can reuse it (unexported: encoding/json and
-	// AppendFrame both skip it).
+	// the in-place decoder can reuse it (unexported: encoding/json skips
+	// it).
 	spareHints *Hints
+	// fromBinary records that the frame arrived in the binary encoding.
+	fromBinary bool
 }
 
 // Validate enforces the per-type frame contract.
@@ -302,51 +312,12 @@ func (f *Frame) Validate() error {
 	return nil
 }
 
-// DecodeFrame parses and validates one frame from a single line (without
-// the trailing newline). It is the fuzz target FuzzDecodeFrame exercises:
-// it must never panic and never accept a frame Validate rejects.
-func DecodeFrame(line []byte) (*Frame, error) {
-	var f Frame
-	if err := DecodeFrameInto(line, &f); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
-// DecodeFrameInto parses and validates one frame from a single line into
-// f, reusing f's slice capacities and Hints allocations: canonical frames
-// (the exact shape AppendFrame emits) decode with zero allocations. Any
-// non-canonical but legal JSON falls back to encoding/json with identical
-// accept/reject behavior — the fuzz target checks the two paths agree.
-func DecodeFrameInto(line []byte, f *Frame) error {
-	if len(line) > MaxFrameBytes {
-		f.reset()
-		return fmt.Errorf("serve: frame of %d bytes exceeds limit %d", len(line), MaxFrameBytes)
-	}
-	if !decodeFrameFast(line, f) {
-		// The fast path bailed (escape sequences, unusual number forms,
-		// unknown keys, stats payloads, …): reparse from scratch. A clean
-		// struct keeps encoding/json's element reuse from leaking stale
-		// fields into sparsely populated batch items.
-		*f = Frame{}
-		if err := json.Unmarshal(line, f); err != nil {
-			return fmt.Errorf("serve: bad frame: %w", err)
-		}
-	}
-	return f.Validate()
-}
-
-// EncodeFrame renders f as one newline-terminated wire line.
-func EncodeFrame(f *Frame) ([]byte, error) {
-	return AppendFrame(nil, f)
-}
-
-// FrameReader reads newline-delimited frames with a hard per-frame size
-// bound.
+// FrameReader reads frames — JSON lines and binary batch frames, told
+// apart by their first byte — with a hard per-frame size bound.
 type FrameReader struct {
 	r *bufio.Reader
 	// line backs readLine when a frame straddles the buffered reader's
-	// window; decoded frames never retain it.
+	// window, and holds binary payloads; decoded frames never retain it.
 	line []byte
 }
 
@@ -359,51 +330,105 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: bufio.NewReaderSize(r, frameReaderBuf)}
 }
 
-// Read returns the next frame. Oversized lines fail without being
+// Read returns the next frame. Oversized frames fail without being
 // buffered whole; io.EOF surfaces unchanged so callers can distinguish a
 // clean close.
 func (fr *FrameReader) Read() (*Frame, error) {
-	line, err := fr.readLine()
-	if err != nil {
+	f := new(Frame)
+	if err := fr.ReadInto(f); err != nil {
 		return nil, err
 	}
-	return DecodeFrame(line)
+	return f, nil
 }
 
-// ReadInto decodes the next frame into f, reusing its buffers (see
-// DecodeFrameInto). The steady-state serving path uses it to keep decode
-// allocation-free.
+// ReadInto decodes the next frame into f, reusing its buffers: binary
+// batch frames decode in place with zero allocations once f is warm,
+// JSON lines go through DecodeFrameInto.
 func (fr *FrameReader) ReadInto(f *Frame) error {
-	line, err := fr.readLine()
+	marker, body, err := fr.next()
 	if err != nil {
 		return err
 	}
-	return DecodeFrameInto(line, f)
+	return decodeBody(marker, body, f)
 }
 
 // ReadTimed is Read with the parse cost split out: it returns how long
-// DecodeFrame took, excluding the wait for bytes to arrive on the wire.
+// decoding took, excluding the wait for bytes to arrive on the wire.
 // The instrumented serving path uses it so the decode histogram measures
-// JSON parsing, not client think-time.
+// parsing, not client think-time.
 func (fr *FrameReader) ReadTimed() (*Frame, time.Duration, error) {
-	line, err := fr.readLine()
+	f := new(Frame)
+	d, err := fr.ReadTimedInto(f)
 	if err != nil {
-		return nil, 0, err
+		return nil, d, err
 	}
-	start := time.Now()
-	f, err := DecodeFrame(line)
-	return f, time.Since(start), err
+	return f, d, nil
 }
 
 // ReadTimedInto is ReadInto with the parse cost split out, as ReadTimed.
 func (fr *FrameReader) ReadTimedInto(f *Frame) (time.Duration, error) {
-	line, err := fr.readLine()
+	marker, body, err := fr.next()
 	if err != nil {
 		return 0, err
 	}
 	start := time.Now()
-	err = DecodeFrameInto(line, f)
+	err = decodeBody(marker, body, f)
 	return time.Since(start), err
+}
+
+// ReadRaw reads the next frame without decoding it and appends its
+// complete wire bytes (trailing newline or marker and length prefix
+// included) to dst, reporting whether it is a binary batch frame. A
+// proxy uses it to forward whole frames of either encoding.
+func (fr *FrameReader) ReadRaw(dst []byte) ([]byte, bool, error) {
+	marker, body, err := fr.next()
+	if err != nil {
+		return dst, false, err
+	}
+	if marker == 0 {
+		return append(append(dst, body...), '\n'), false, nil
+	}
+	dst = binary.AppendUvarint(append(dst, marker), uint64(len(body)))
+	return append(dst, body...), true, nil
+}
+
+func decodeBody(marker byte, body []byte, f *Frame) error {
+	if marker == 0 {
+		return DecodeFrameInto(body, f)
+	}
+	return decodeBinary(marker, body, f)
+}
+
+// next reads one frame's body: a JSON line without its newline (marker
+// 0), or a binary frame's payload after its marker and length prefix. A
+// length above MaxFrameBytes fails before anything is read or allocated.
+// The body aliases reader storage and is valid until the next call.
+func (fr *FrameReader) next() (marker byte, body []byte, err error) {
+	head, err := fr.r.Peek(1)
+	if err != nil {
+		return 0, nil, err
+	}
+	if m := head[0]; m != binaryAccesses && m != binaryResults {
+		line, err := fr.readLine()
+		return 0, line, err
+	}
+	marker, _ = fr.r.ReadByte() // cannot fail: Peek buffered the byte
+	n, err := binary.ReadUvarint(fr.r)
+	if err == nil && n > MaxFrameBytes {
+		err = fmt.Errorf("serve: binary frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
+	}
+	if err == nil {
+		if uint64(cap(fr.line)) < n {
+			fr.line = make([]byte, n)
+		}
+		body = fr.line[:n]
+		_, err = io.ReadFull(fr.r, body)
+	}
+	if err == io.EOF {
+		// The marker was read: a stream ending here cut a frame short.
+		err = io.ErrUnexpectedEOF
+	}
+	return marker, body, err
 }
 
 // readLine returns one newline-terminated line (without the newline)

@@ -472,6 +472,9 @@ func (s *Server) handleConn(c net.Conn) {
 	if batch > s.cfg.MaxBatch {
 		batch = s.cfg.MaxBatch
 	}
+	// The binary batch encoding is granted whenever it is asked for.
+	bin := first.Binary
+	w.binary = bin
 	sess, existed, err := s.store.getOrCreate(first.Session, func() (*session, error) {
 		l, err := NewLearner(s.cfg.Learner)
 		if err != nil {
@@ -486,7 +489,7 @@ func (s *Server) handleConn(c net.Conn) {
 	lastSeq := sess.attach(w)
 	defer sess.detach(w)
 	s.sessionsGauge.Set(float64(s.store.count()))
-	if !w.write(&Frame{Type: FrameWelcome, Session: sess.id, LastSeq: lastSeq, Resumed: existed, Batch: batch}) {
+	if !w.write(&Frame{Type: FrameWelcome, Session: sess.id, LastSeq: lastSeq, Resumed: existed, Batch: batch, Binary: bin}) {
 		return
 	}
 
@@ -527,14 +530,18 @@ func (s *Server) handleConn(c net.Conn) {
 			}
 			s.handleAccess(sess, it)
 		case FrameBatch:
-			if batch == 0 || len(fr.Accesses) == 0 || len(fr.Accesses) > batch {
-				msg := "batch frame on a connection that did not negotiate batching"
-				switch {
-				case len(fr.Accesses) == 0:
-					msg = "batch frame without accesses"
-				case batch > 0:
-					msg = fmt.Sprintf("batch of %d exceeds the negotiated size %d", len(fr.Accesses), batch)
-				}
+			var msg string
+			switch {
+			case fr.fromBinary && !bin:
+				msg = "binary batch frame on a connection that did not negotiate the binary encoding"
+			case batch == 0:
+				msg = "batch frame on a connection that did not negotiate batching"
+			case len(fr.Accesses) == 0:
+				msg = "batch frame without accesses"
+			case len(fr.Accesses) > batch:
+				msg = fmt.Sprintf("batch of %d exceeds the negotiated size %d", len(fr.Accesses), batch)
+			}
+			if msg != "" {
 				w.write(&Frame{Type: FrameError, Code: CodeProtocol, Msg: msg})
 				s.putFrame(fr)
 				continue
@@ -631,7 +638,8 @@ func (s *Server) SessionStatsAll() []SessionStats {
 // connWriter serializes frame writes to one connection under a write
 // deadline. Both the connection reader (busy/error/fallback replies) and
 // the session worker (decisions) write through it concurrently. Frames
-// encode into one reused buffer (zero steady-state encode allocations);
+// encode synchronously into one reused buffer — binary batch frames
+// without allocating — so callers may reuse a frame once write returns;
 // worker replies may additionally linger in that buffer so consecutive
 // replies to a pipelined client coalesce into one syscall — write order
 // is preserved because every path appends to, and flushes, the same
@@ -650,6 +658,10 @@ type connWriter struct {
 	timer     *time.Timer
 	armed     bool
 	coalesced *obs.Counter // nil when uncounted (client-side tests)
+
+	// binary sends batch frames in the binary encoding; set once at the
+	// handshake, before the connection enqueues any work.
+	binary bool
 }
 
 func newConnWriter(c net.Conn, timeout time.Duration, coalesce int, delay time.Duration, coalesced *obs.Counter) *connWriter {
@@ -735,7 +747,7 @@ func (w *connWriter) close() {
 }
 
 func (w *connWriter) appendLocked(f *Frame) bool {
-	b, err := AppendFrame(w.buf, f)
+	b, err := AppendWireFrame(w.buf, f, w.binary)
 	if err != nil {
 		return false
 	}

@@ -69,6 +69,14 @@ type session struct {
 	inbox chan inboxItem
 	done  chan struct{} // closed when the worker has exited
 
+	// Worker-owned processBatch scratch. out is the reused reply frame
+	// (connWriter encodes it before writeq returns); decided collects the
+	// fresh decisions' addresses and lens their prefetch/shadow counts
+	// until freshSpan copies them into the span's own backing array.
+	out     Frame
+	decided []uint64
+	lens    []int
+
 	// attached is the connection currently owning this session (nil when
 	// detached). Guarded by attachMu, not mu: attachment changes must not
 	// wait behind a long learner step.
@@ -394,7 +402,9 @@ func (s *session) processBatch(it inboxItem) {
 	if tr != nil {
 		decideStart = time.Now()
 	}
-	out := &Frame{Type: FrameBatch, Results: make([]BatchDecision, 0, len(fr.Accesses))}
+	out := &s.out
+	out.Type, out.Results = FrameBatch, out.Results[:0]
+	s.decided, s.lens = s.decided[:0], s.lens[:0]
 	var fresh, replayed, stale int
 	for i := range fr.Accesses {
 		a := &fr.Accesses[i]
@@ -411,23 +421,14 @@ func (s *session) processBatch(it inboxItem) {
 			continue
 		}
 		pf, sh := s.learner.DecideAccess(a)
-		d := BatchDecision{Seq: a.Seq}
-		if len(pf) > 0 {
-			d.Prefetch = append([]uint64(nil), pf...)
-		}
-		if len(sh) > 0 {
-			d.Shadow = append([]uint64(nil), sh...)
-		}
-		out.Results = append(out.Results, d)
+		s.decided = append(append(s.decided, pf...), sh...)
+		s.lens = append(s.lens, len(pf), len(sh))
+		out.Results = append(out.Results, BatchDecision{Seq: a.Seq})
 		s.lastSeq = a.Seq
 		fresh++
 	}
 	if fresh > 0 {
-		span := make([]ReplayEntry, 0, fresh)
-		for _, d := range out.Results[len(out.Results)-fresh:] {
-			span = append(span, ReplayEntry{Seq: d.Seq, Prefetch: d.Prefetch, Shadow: d.Shadow})
-		}
-		s.replay.putSpan(span)
+		s.replay.putSpan(s.freshSpan(out.Results[len(out.Results)-fresh:]))
 	}
 	s.mu.Unlock()
 	if fresh > 0 {
@@ -454,6 +455,30 @@ func (s *session) processBatch(it inboxItem) {
 		decide:    decided.Sub(decideStart),
 		write:     written.Sub(decided),
 	}, it.sampled, it.spanStart, len(s.inbox))
+}
+
+// freshSpan copies a batch's fresh decisions (its result tail, collected
+// in s.decided) into one backing array owned by a new replay span, and
+// points both the span and the reply's results at it: two allocations
+// per fresh batch whatever its size. Each list is capped at its length,
+// so an append by a holder never runs into its neighbour.
+func (s *session) freshSpan(res []BatchDecision) []ReplayEntry {
+	backing := append([]uint64(nil), s.decided...)
+	span := make([]ReplayEntry, len(res))
+	off := 0
+	for j := range res {
+		d := &res[j]
+		if np := s.lens[2*j]; np > 0 {
+			d.Prefetch = backing[off : off+np : off+np]
+			off += np
+		}
+		if ns := s.lens[2*j+1]; ns > 0 {
+			d.Shadow = backing[off : off+ns : off+ns]
+			off += ns
+		}
+		span[j] = ReplayEntry{Seq: d.Seq, Prefetch: d.Prefetch, Shadow: d.Shadow}
+	}
+	return span
 }
 
 // snapshot captures the session under its lock.
